@@ -27,7 +27,7 @@ from .net import InvalidNet, TNet
 from .oracle import TooManyPids
 from .parser import ModelSyntaxError, ModelValidationError, parse_marking, parse_model
 from .pidtree import to_dot
-from .represent import represent, retained_pids, strip
+from .represent import represent, strip_marking
 
 __all__ = ["main"]
 
@@ -92,14 +92,12 @@ def _cmd_compare(args) -> int:
 def _cmd_canonize(args) -> int:
     net = _load(args.model)
     marking = parse_marking(Path(args.marking).read_text(), net)
-    expanded = represent(net, marking)
-    stripped = strip(expanded, retained_pids(net, marking))
-    for label, tree in (("expanded", expanded), ("stripped", stripped)):
-        sig = signature(tree)
-        print(f"// {label} signature: {sig.hex()}")
-        print(to_dot(tree, graph_name=f"{net.name}_{label}"))
+    for label, tree in (("expanded", represent(net, marking)), ("stripped", strip_marking(net, marking))):
+        dot = to_dot(tree, graph_name=f"{net.name}_{label}")
+        print(f"// {label} signature: {signature(tree).hex()}")
+        print(dot)
         if args.dot_prefix:
-            Path(f"{args.dot_prefix}_{label}.dot").write_text(to_dot(tree, graph_name=f"{net.name}_{label}") + "\n")
+            Path(f"{args.dot_prefix}_{label}.dot").write_text(dot + "\n")
     return 0
 
 

@@ -31,7 +31,7 @@ from typing import Mapping, Optional
 from .net import Marking, TNet, Token
 from .pid import EMPTY, Pid
 from .pidtree import PidTree, is_sibling_ordered, relpath_map
-from .represent import represent, retained_pids, strip
+from .represent import represent, strip_marking
 
 __all__ = [
     "PidBijection",
@@ -227,9 +227,8 @@ def signature(t: PidTree) -> Signature:
 
 def state_key(net: TNet, m: Marking, mode: str = "stripped") -> Signature:
     """The visited-set key of a marking under the chosen canonical form."""
-    tree = represent(net, m)
     if mode == "stripped":
-        tree = strip(tree, retained_pids(net, m))
-    elif mode != "expanded":
-        raise ValueError(f"unknown canonisation mode {mode!r}")
-    return signature(tree)
+        return signature(strip_marking(net, m))
+    if mode == "expanded":
+        return signature(represent(net, m))
+    raise ValueError(f"unknown canonisation mode {mode!r}")

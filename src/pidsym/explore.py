@@ -31,7 +31,8 @@ from typing import Optional
 from . import oracle
 from .equiv import state_key
 from .net import InvalidNet, Marking, TNet, enabled, fire, validate
-__all__ = ["ExploreOptions", "StateSpace", "ModeReport", "explore", "compare_reductions", "MODES"]
+
+__all__ = ["ExploreOptions", "StateSpace", "explore", "compare_reductions", "MODES"]
 
 MODES = ("none", "expanded", "stripped", "oracle")
 
@@ -84,6 +85,7 @@ class StateSpace:
             "wall_ms": round(self.wall_ms, 3),
             "merges_audited": self.merges_audited,
             "audit_failures": self.audit_failures,
+            "audit_skipped": self.audit_skipped,
         }
 
     def to_json(self) -> str:
@@ -203,13 +205,6 @@ def explore(net: TNet, opts: ExploreOptions = ExploreOptions()) -> StateSpace:
 
     space.wall_ms = (time.perf_counter() - t0) * 1000.0
     return space
-
-
-@dataclass
-class ModeReport:
-    mode: str
-    skipped: Optional[str] = None  # reason, when the mode did not run
-    space: Optional[StateSpace] = None
 
 
 def compare_reductions(net: TNet, opts: ExploreOptions = ExploreOptions()) -> dict:

@@ -9,7 +9,7 @@ Each model exercises one regime of the reduction:
   delegate begets one worker and dies, leaving the workers mutually
   unrelated.  Interleavings explode concretely but collapse under the
   stripped keys.  The parameter n is a build-time integer: fanout_text
-  generates the model text and fanout_n.tnet ships the n=3 instance.
+  generates the model text, and the bundled name stands for n=3.
 * ``clean_join``  - children wait for their own grandchild before dying,
   so every reachable marking is clean and the stripped quotient is
   exact.
@@ -27,118 +27,6 @@ from ..parser import parse_model
 __all__ = ["MODEL_NAMES", "model_text", "load_model", "fanout_text"]
 
 MODEL_NAMES = ("spawn_reap", "fanout_n", "clean_join", "ring")
-
-
-SPAWN_REAP = """\
-# A leader spawns workers that start, work and die; at most two alive.
-net spawn_reap
-place g GEN
-place seed D
-place boss P
-place cap D
-place idle P
-place busy P
-init seed { (0) }
-init cap { (0); (0) }
-trans lead
-  in g { (p, c) }
-  in seed { (0) }
-  out g { (p, c) }
-  out boss { (p) }
-end
-trans spawn
-  in g { (b, c) }
-  in boss { (b) }
-  in cap { (0) }
-  out g { (b, c+1); (b.(c+1), 0) }
-  out boss { (b) }
-  out idle { (b.(c+1)) }
-end
-trans start
-  in g { (w, d) }
-  in idle { (w) }
-  out g { (w, d) }
-  out busy { (w) }
-end
-trans reap
-  in g { (w, d) }
-  in busy { (w) }
-  out cap { (0) }
-end
-"""
-
-
-CLEAN_JOIN = """\
-# Children delegate to one grandchild each and join it before dying:
-# parents always outlive their children, so every marking is clean.
-net clean_join
-place g GEN
-place seed D
-place boss P
-place task D
-place child P
-place waiting P
-place gwork P
-place done P
-init seed { (0) }
-init task { (0); (0) }
-trans lead
-  in g { (p, c) }
-  in seed { (0) }
-  out g { (p, c) }
-  out boss { (p) }
-end
-trans spawn
-  in g { (b, c) }
-  in boss { (b) }
-  in task { (0) }
-  out g { (b, c+1); (b.(c+1), 0) }
-  out boss { (b) }
-  out child { (b.(c+1)) }
-end
-trans delegate
-  in g { (w, d) }
-  in child { (w) }
-  out g { (w, d+1); (w.(d+1), 0) }
-  out gwork { (w.(d+1)) }
-  out waiting { (w) }
-end
-trans complete
-  in g { (v, e) }
-  in gwork { (v) }
-  out g { (v, e) }
-  out done { (v) }
-end
-trans join
-  in g { (w, d); (v, e) }
-  in waiting { (w) }
-  in done { (v) }
-  guard w <1 v
-end
-"""
-
-
-RING = """\
-# Three workers spawned at once pass a token along the sibling chain.
-net ring
-place g GEN
-place go D
-place tok P
-init go { (0) }
-trans setup
-  in g { (p, c) }
-  in go { (0) }
-  out g { (p, c+3); (p.(c+1), 0); (p.(c+2), 0); (p.(c+3), 0) }
-  out tok { (p.(c+1)) }
-end
-trans pass
-  in g { (u, cu); (v, cv) }
-  in tok { (u) }
-  guard u #1 v
-  out g { (u, cu); (v, cv) }
-  out tok { (v) }
-end
-"""
 
 
 def fanout_text(n: int) -> str:
@@ -185,20 +73,11 @@ end
 """
 
 
-_TEXTS = {
-    "spawn_reap": SPAWN_REAP,
-    "clean_join": CLEAN_JOIN,
-    "ring": RING,
-    "fanout_n": fanout_text(3),
-}
-
-
 def model_text(name: str) -> str:
-    """The text of a bundled model, from package data when present."""
-    try:
-        return resources.files("pidsym.models").joinpath(f"{name}.tnet").read_text()
-    except (FileNotFoundError, ModuleNotFoundError):
-        return _TEXTS[name]
+    """The text of a bundled model; fanout_n is the n=3 instance of fanout_text."""
+    if name == "fanout_n":
+        return fanout_text(3)
+    return resources.files("pidsym.models").joinpath(f"{name}.tnet").read_text()
 
 
 def load_model(name: str, n: int | None = None) -> TNet:

@@ -633,14 +633,6 @@ def validate(net: TNet) -> list[Violation]:
     return out
 
 
-def checked(net: TNet) -> TNet:
-    """Return the net unchanged, raising InvalidNet when it breaks a requirement."""
-    violations = validate(net)
-    if violations:
-        raise InvalidNet(f"net {net.name!r} violates {len(violations)} requirement(s)", violations)
-    return net
-
-
 # -- evaluation -------------------------------------------------------------
 
 

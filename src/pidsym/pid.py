@@ -30,7 +30,6 @@ __all__ = [
     "concat",
     "rel",
     "cmp_hier",
-    "REL_NAMES",
 ]
 
 
@@ -169,9 +168,6 @@ def subpid(p: Pid) -> frozenset[Pid]:
 
 def concat(p: Pid, q: Pid) -> Pid:
     return p.cat(q)
-
-
-REL_NAMES = ("eq", "child", "ancestor", "sib_next", "sib_elder")
 
 
 def rel(op: str, p: Pid, q: Pid) -> bool:

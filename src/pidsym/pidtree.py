@@ -61,11 +61,9 @@ class PidTree:
                 raise ValueError(f"child fragment must be a non-empty pid, got {frag!r}")
             if not isinstance(sub, PidTree):
                 raise ValueError(f"child {frag} is not a PidTree")
-        frags = [frag for frag, _ in kids]
-        for i, a in enumerate(frags):
-            for b in frags[i + 1:]:
-                if a in b.subpids() or b in a.subpids():
-                    raise ValueError(f"fragments {a} and {b} overlap")
+        clash = _overlap([frag for frag, _ in kids])
+        if clash:
+            raise ValueError(f"fragments {clash[0]} and {clash[1]} overlap")
         kids = tuple(sorted(kids, key=lambda fs: fs[0].sort_key()))
         self.marking = marking
         self.children = kids
@@ -108,16 +106,24 @@ class PidTree:
         return f"<PidTree {self}>"
 
 
+def _overlap(frags: list[Pid]) -> tuple[Pid, Pid] | None:
+    """Two fragments of which one is a prefix of (or equal to) the other, if any.
+
+    Sorted lexicographically, a pid comes directly before the pids that
+    extend it, so only adjacent pairs need testing.
+    """
+    frags = sorted(frags, key=lambda f: f.parts)
+    for a, b in zip(frags, frags[1:]):
+        if b.parts[: len(a.parts)] == a.parts:
+            return a, b
+    return None
+
+
 def check_wf(t: PidTree) -> bool:
     """The two fragment conditions, recursively: non-empty and prefix-free."""
     frags = [frag for frag, _ in t.children]
-    for frag in frags:
-        if not isinstance(frag, Pid) or frag == EMPTY:
-            return False
-    for i, a in enumerate(frags):
-        for b in frags[i + 1:]:
-            if a == b or a in b.subpids() or b in a.subpids():
-                return False
+    if any(not isinstance(frag, Pid) or frag == EMPTY for frag in frags) or _overlap(frags):
+        return False
     return all(check_wf(sub) for _, sub in t.children)
 
 

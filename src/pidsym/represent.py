@@ -1,23 +1,26 @@
 """Building pid-tree representations of markings and their canonical forms.
 
-``represent`` applies the three token rules and returns the *expanded*
-form, in which every edge carries a length-1 fragment:
+Both canonical forms come from one builder over a set of *kept* pids:
+each kept pid hangs under its longest kept proper prefix, reached over
+the remaining suffix as its fragment, and every token sits at its owner
+(the pid in its first component, or the root for shared tokens).
+Generator tokens are not stored; they only contribute pids.
 
-* a generator token ⟨p, i⟩ contributes the paths of ``p`` and of its
-  next child ``p.(i+1)`` (the token itself is not stored in the tree);
-* a shared token (data-owned) lands in the root marking, and each pid it
-  references contributes its path;
-* an owned token (pid-owned) lands at the owner's node, referenced pids
-  again contribute their paths.
+* The *expanded* form (``represent``) keeps the prefix closure of the
+  pids and next pids, so every edge carries a length-1 fragment.  It is
+  the unique maximal representation.
+* The *stripped* form (``strip_marking``) keeps just the active and next
+  pids, so fragments span the dropped nodes.  It is the unique minimal
+  representation.
 
-The expanded form is the unique maximal representation.  ``strip``
-produces the unique minimal one by deleting every node that is neither
-active nor a next pid, concatenating fragments across the deleted
-nodes.  Both are deterministic and idempotent, and for clean markings
-they coincide.
+``strip`` and ``expand`` convert a given tree between the two.  Both
+forms are deterministic and idempotent, and for clean markings they
+coincide.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Mapping
 
 from .net import Marking, TNet, Token
 from .pid import EMPTY, Pid
@@ -41,61 +44,60 @@ class RetainedNotCovered(ValueError):
     """strip() was asked to retain pids that the tree does not contain."""
 
 
-class _Builder:
-    """Accumulates node markings keyed by pid, then freezes into a PidTree."""
+def _build(markings: Mapping[Pid, Marking], kept: set[Pid]) -> PidTree:
+    """The tree over the kept pids (``()`` among them), node p marked by markings[p].
 
-    def __init__(self):
-        self.nodes: dict[Pid, dict[str, list[Token]]] = {EMPTY: {}}
+    Each kept pid hangs under its longest kept proper prefix, over the
+    rest of the pid as fragment.  Nodes are built deepest first, so the
+    children of a node all exist by the time it is built.
+    """
+    kids: dict[Pid, list[tuple[Pid, PidTree]]] = {}
+    for p in sorted(kept, key=len, reverse=True):
+        node = PidTree(markings.get(p, EMPTY_MARKING), kids.pop(p, ()))
+        if p:
+            q = p.prefix
+            while q not in kept:
+                q = q.prefix
+            kids.setdefault(q, []).append((Pid(p.parts[len(q):]), node))
+    return node
 
-    def ensure(self, p: Pid):
-        while p not in self.nodes:
-            self.nodes[p] = {}
+
+def _closure(seeds: Iterable[Pid]) -> set[Pid]:
+    """``()`` and every prefix of the seeds, each walked up only to a pid already in."""
+    kept = {EMPTY}
+    for p in seeds:
+        while p not in kept:
+            kept.add(p)
             p = p.prefix
+    return kept
 
-    def put(self, p: Pid, place: str, token: Token):
-        self.ensure(p)
-        self.nodes[p].setdefault(place, []).append(token)
 
-    def freeze(self) -> PidTree:
-        kids: dict[Pid, list[Pid]] = {p: [] for p in self.nodes}
-        for p in self.nodes:
-            if p != EMPTY:
-                kids[p.prefix].append(p)
-
-        def build(p: Pid) -> PidTree:
-            children = [(Pid(c.parts[len(p.parts):]), build(c)) for c in kids[p]]
-            return PidTree(Marking(self.nodes[p]), children)
-
-        return build(EMPTY)
+def _owned(net: TNet, m: Marking) -> dict[Pid, Marking]:
+    """The non-generator tokens of m grouped by owner."""
+    gen = net.generator.name
+    groups: dict[Pid, dict[str, list[Token]]] = {}
+    for place, tok in m.all_tokens():
+        if place != gen:
+            owner = tok[0] if isinstance(tok[0], Pid) else EMPTY
+            groups.setdefault(owner, {}).setdefault(place, []).append(tok)
+    return {p: Marking(g) for p, g in groups.items()}
 
 
 def represent(net: TNet, m: Marking) -> PidTree:
     """The expanded-form representation of a marking (sibling ordered)."""
-    gen = net.generator.name
-    b = _Builder()
-    for place, tok in m.all_tokens():
-        if place == gen:
-            p, i = tok
-            b.ensure(p)
-            b.ensure(p.child(i + 1))
-            continue
-        owner = tok[0] if isinstance(tok[0], Pid) else EMPTY
-        b.put(owner, place, tok)
-        for v in tok:
-            if isinstance(v, Pid):
-                b.ensure(v)
-    return b.freeze()
+    # The retained pids are the pids and next pids; their prefixes fill the paths.
+    return _build(_owned(net, m), _closure(retained_pids(net, m)))
+
+
+def strip_marking(net: TNet, m: Marking) -> PidTree:
+    """The stripped-form representation of a marking."""
+    return _build(_owned(net, m), {EMPTY} | retained_pids(net, m))
 
 
 def expand(t: PidTree) -> PidTree:
     """Split every fragment into length-1 edges; a fixpoint on expanded trees."""
-    b = _Builder()
-    for loc, node in subtrees(t):
-        b.ensure(loc)
-        for place, toks in node.marking.items():
-            for tok in toks:
-                b.put(loc, place, tok)
-    return b.freeze()
+    markings = {loc: node.marking for loc, node in subtrees(t)}
+    return _build(markings, _closure(markings))
 
 
 def retained_pids(net: TNet, m: Marking) -> frozenset[Pid]:
@@ -110,40 +112,16 @@ def strip(t: PidTree, retained: frozenset[Pid] | set[Pid]) -> PidTree:
     Dropped nodes must carry no tokens (they are pure path scaffolding in
     any representation, since owners are active).
     """
-    have = pids(t)
-    missing = set(retained) - have
+    markings = {loc: node.marking for loc, node in subtrees(t)}
+    missing = set(retained) - markings.keys()
     if missing:
         raise RetainedNotCovered(f"pids not in tree: {sorted(missing, key=lambda p: p.sort_key())}")
 
-    keep = {EMPTY} | set(retained)
-    markings: dict[Pid, Marking] = {}
-    for loc, node in subtrees(t):
-        if loc in keep:
-            markings[loc] = node.marking
-        elif not node.marking.is_empty():
+    kept = {EMPTY} | set(retained)
+    for loc, marking in markings.items():
+        if loc not in kept and not marking.is_empty():
             raise ValueError(f"cannot strip node {loc}: it carries tokens")
-
-    def anchor(p: Pid) -> Pid:
-        q = p.prefix
-        while q not in keep:
-            q = q.prefix
-        return q
-
-    kids: dict[Pid, list[Pid]] = {p: [] for p in keep}
-    for p in sorted(keep, key=lambda q: q.sort_key()):
-        if p != EMPTY:
-            kids[anchor(p)].append(p)
-
-    def build(p: Pid) -> PidTree:
-        children = [(Pid(c.parts[len(p.parts):]), build(c)) for c in kids[p]]
-        return PidTree(markings[p], children)
-
-    return build(EMPTY)
-
-
-def strip_marking(net: TNet, m: Marking) -> PidTree:
-    """The stripped-form representation of a marking."""
-    return strip(represent(net, m), retained_pids(net, m))
+    return _build(markings, kept)
 
 
 def is_representation(net: TNet, t: PidTree, m: Marking) -> bool:
@@ -159,10 +137,7 @@ def is_representation(net: TNet, t: PidTree, m: Marking) -> bool:
     # closure plus the next pids ever does.
     if not (sets.pids | sets.nextpids) <= tree_pids:
         return False
-    closure = set(sets.nextpids)
-    for p in sets.pids:
-        closure |= p.subpids()
-    if not tree_pids <= closure:
+    if not tree_pids <= _closure(sets.pids) | sets.nextpids:
         return False
 
     # Tokens sit exactly where the rules put them: shared at the root,

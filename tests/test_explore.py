@@ -139,6 +139,7 @@ def test_report_schema():
         "wall_ms",
         "merges_audited",
         "audit_failures",
+        "audit_skipped",
     }
     assert report["model"] == "ring" and report["mode"] == "stripped"
     parsed = json.loads(space.to_json())
