@@ -19,6 +19,7 @@ from .net import (
     Violation,
     enabled,
     fire,
+    successors,
     validate,
 )
 from .state import State, is_clean, pids_of, state_of
@@ -46,6 +47,7 @@ __all__ = [
     "InvalidNet",
     "validate",
     "enabled",
+    "successors",
     "fire",
     "State",
     "state_of",

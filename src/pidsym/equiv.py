@@ -116,18 +116,14 @@ def _pairs(t1: PidTree, t2: PidTree) -> Optional[list[tuple[Pid, Pid, PidTree, P
     Def-16 bijection.
     """
     out: list[tuple[Pid, Pid, PidTree, PidTree]] = []
-
-    def walk(loc1: Pid, loc2: Pid, n1: PidTree, n2: PidTree) -> bool:
+    stack = [(EMPTY, EMPTY, t1, t2)]
+    while stack:
+        loc1, loc2, n1, n2 = stack.pop()
         out.append((loc1, loc2, n1, n2))
         if n1.arity() != n2.arity():
-            return False
-        for (f1, s1), (f2, s2) in zip(n1.children, n2.children):
-            if not walk(loc1.cat(f1), loc2.cat(f2), s1, s2):
-                return False
-        return True
-
-    if not walk(EMPTY, EMPTY, t1, t2):
-        return None
+            return None
+        pairs = zip(reversed(n1.children), reversed(n2.children))
+        stack.extend((loc1.cat(f1), loc2.cat(f2), s1, s2) for (f1, s1), (f2, s2) in pairs)
     return out
 
 

@@ -30,7 +30,7 @@ from typing import Optional
 
 from . import oracle
 from .equiv import state_key
-from .net import InvalidNet, Marking, TNet, enabled, fire, validate
+from .net import InvalidNet, Marking, TNet, successors, validate
 
 __all__ = ["ExploreOptions", "StateSpace", "explore", "compare_reductions", "MODES"]
 
@@ -187,8 +187,7 @@ def explore(net: TNet, opts: ExploreOptions = ExploreOptions()) -> StateSpace:
         if opts.max_depth is not None and depth >= opts.max_depth:
             continue
         rep = space.states[key]
-        for t, b in enabled(net, rep):
-            succ = fire(net, rep, t, b)
+        for t, _, succ in successors(net, rep):
             succ_key = visited.key_of(succ)
             if succ_key in space.states:
                 space.edges.append((key, t.name, succ_key))

@@ -15,11 +15,15 @@ markings have equal byte encodings.
 ``enabled`` and ``fire`` implement the usual coloured-net semantics:
 a transition fires under a binding when every input arc finds its
 tokens, the guard holds and the produced tokens respect the place
-types.  Both functions are pure and deterministic.
+types.  ``successors`` is the search step: it yields each enabled
+binding together with its successor marking, enumerating, checking and
+firing every binding once.  All three are pure and deterministic.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -47,6 +51,7 @@ __all__ = [
     "InvalidNet",
     "validate",
     "enabled",
+    "successors",
     "fire",
     "value_key",
     "token_key",
@@ -83,7 +88,7 @@ def value_str(v: Value) -> str:
 
 
 def token_str(tok: Token) -> str:
-    return "(" + ", ".join(value_str(v) for v in tok) + ")"
+    return "(" + ", ".join(map(str, tok)) + ")"
 
 
 class Marking:
@@ -164,6 +169,32 @@ class Marking:
                 except ValueError:
                     raise ValueError(f"token {token_str(tok)} not present in place {name}") from None
         return Marking(merged)
+
+    def _fired(self, taken: Iterable[tuple[str, int]], produced: Iterable[tuple[str, Token]]) -> "Marking":
+        """This marking minus the tokens at ``taken`` plus ``produced``.
+
+        ``taken`` holds ``(place, index)`` pairs into this marking's places
+        (equal tokens are adjacent, so taking the first copy's index once
+        per copy works), ``produced`` holds ``(place, token)`` pairs.  Only
+        the touched places are rebuilt, the others are shared, and
+        produced tokens are inserted in ``token_key`` order, so the result
+        equals the ``Marking`` built from scratch.
+        """
+        places = dict(self._data)
+        touched: dict[str, list[Token]] = {}
+        for name, i in sorted(taken, reverse=True):
+            if name not in touched:
+                touched[name] = list(places[name])
+            del touched[name][i]
+        for name, tok in produced:
+            if name not in touched:
+                touched[name] = list(places.get(name, ()))
+            insort(touched[name], tok, key=token_key)
+        places.update((name, tuple(toks)) for name, toks in touched.items())
+        m = object.__new__(Marking)
+        m._data = tuple(sorted(item for item in places.items() if item[1]))
+        m._hash = hash(m._data)
+        return m
 
     def without(self, place: str) -> "Marking":
         return Marking({name: toks for name, toks in self._data if name != place})
@@ -713,48 +744,56 @@ def _binding_sort_key(b: Binding):
     return tuple((name, value_key(b[name])) for name in sorted(b))
 
 
-def _enum_bindings(net: TNet, m: Marking, t: Transition) -> list[Binding]:
-    """All bindings matching the input arcs, by backtracking over token choices.
+def _distinct(toks: tuple[Token, ...]) -> list[tuple[int, Token, int]]:
+    """(first index, token, copies) per distinct token of a canonically sorted place."""
+    out: list[tuple[int, Token, int]] = []
+    for i, tok in enumerate(toks):
+        if out and out[-1][1] == tok:
+            first, _, n = out[-1]
+            out[-1] = (first, tok, n + 1)
+        else:
+            out.append((i, tok, 1))
+    return out
 
-    Token candidates are tried in canonical order and duplicates are
-    skipped at each step, so the result is deterministic and free of
-    repeated bindings.
+
+def _enum_bindings(m: Marking, t: Transition, pools: dict) -> list[tuple[Binding, tuple]]:
+    """All bindings matching the input arcs, each with the tokens it takes.
+
+    A depth-first search over token choices, one input pattern per step.
+    Each step tries the distinct tokens of the pattern's place in
+    canonical order, so the result is deterministic and free of repeated
+    bindings.  A binding's ``taken`` holds one ``(place, index)`` per
+    pattern, the index of the token's first copy in ``m.tokens(place)``.
+    ``pools`` caches the distinct tokens per place across transitions.
     """
-    slots: list[tuple[str, tuple]] = []
-    for pname, pats in t.inputs:
-        for pat in pats:
-            slots.append((pname, tuple(pat)))
-
-    remaining: dict[str, list[Token]] = {}
+    slots = [(pname, pat) for pname, pats in t.inputs for pat in pats]
     for pname, _ in t.inputs:
-        remaining[pname] = list(m.tokens(pname))
+        if pname not in pools:
+            pools[pname] = _distinct(m.tokens(pname))
 
-    found: list[Binding] = []
-
-    def walk(i: int, b: Binding):
+    found: list[tuple[Binding, tuple]] = []
+    stack: list[tuple[int, Binding, tuple]] = [(0, {}, ())]
+    while stack:
+        i, b, taken = stack.pop()
         if i == len(slots):
-            found.append(dict(b))
-            return
+            found.append((b, taken))
+            continue
         pname, pat = slots[i]
-        pool = remaining[pname]
-        for tok in sorted(set(pool), key=token_key):
-            b2 = _match_pattern(pat, tok, b)
-            if b2 is None:
-                continue
-            pool.remove(tok)
-            walk(i + 1, b2)
-            pool.append(tok)
-
-    walk(0, {})
+        steps = []
+        for first, tok, copies in pools[pname]:
+            if copies > taken.count((pname, first)):
+                b2 = _match_pattern(pat, tok, b)
+                if b2 is not None:
+                    steps.append((i + 1, b2, taken + ((pname, first),)))
+        stack.extend(reversed(steps))
     return found
 
 
-def _produced(net: TNet, t: Transition, b: Binding) -> Optional[dict[str, list[Token]]]:
-    """Evaluate all output arcs; None when a produced token breaks its place type."""
-    out: dict[str, list[Token]] = {}
+def _produced(net: TNet, t: Transition, b: Binding) -> Optional[list[tuple[str, Token]]]:
+    """Evaluate all output arcs to (place, token) pairs; None when a token breaks its place type."""
+    out: list[tuple[str, Token]] = []
     for pname, exprs in t.outputs:
         sig = net.place(pname).sig
-        toks = out.setdefault(pname, [])
         for ex in exprs:
             tok = tuple(eval_expr(comp, b) for comp in ex)
             if len(tok) != len(sig):
@@ -764,14 +803,24 @@ def _produced(net: TNet, t: Transition, b: Binding) -> Optional[dict[str, list[T
                     return None
                 if kind == "D" and isinstance(v, Pid):
                     return None
-            toks.append(tok)
+            out.append((pname, tok))
     return out
 
 
-def _consumed(t: Transition, b: Binding) -> dict[str, list[Token]]:
-    out: dict[str, list[Token]] = {}
-    for pname, pats in t.inputs:
-        out.setdefault(pname, []).extend(tuple(eval_expr(c, b) for c in pat) for pat in pats)
+def _consumed(t: Transition, b: Binding) -> list[tuple[str, Token]]:
+    return [(pname, tuple(eval_expr(c, b) for c in pat)) for pname, pats in t.inputs for pat in pats]
+
+
+def _fireable(net: TNet, m: Marking, t: Transition, pools: dict) -> list[tuple[Binding, tuple, list]]:
+    """(binding, taken, produced) for each binding under which t fires at m, sorted by binding."""
+    out = []
+    for b, taken in _enum_bindings(m, t, pools):
+        if not eval_guard(t.guard, b):
+            continue
+        produced = _produced(net, t, b)
+        if produced is not None:
+            out.append((b, taken, produced))
+    out.sort(key=lambda hit: _binding_sort_key(hit[0]))
     return out
 
 
@@ -781,39 +830,40 @@ def enabled(net: TNet, m: Marking) -> list[tuple[Transition, Binding]]:
     Transitions come in declaration order; within a transition, bindings
     are sorted by their bound values.
     """
-    result: list[tuple[Transition, Binding]] = []
+    pools: dict = {}
+    return [(t, b) for t in net.transitions for b, _, _ in _fireable(net, m, t, pools)]
+
+
+def successors(net: TNet, m: Marking) -> Iterator[tuple[Transition, Binding, Marking]]:
+    """``(t, b, fire(net, m, t, b))`` for each ``(t, b)`` of ``enabled(net, m)``, in that order.
+
+    Each binding is enumerated, guard-checked and evaluated once, and its
+    successor is built from the tokens the enumeration took.
+    """
+    pools: dict = {}
     for t in net.transitions:
-        matches = []
-        for b in _enum_bindings(net, m, t):
-            if not eval_guard(t.guard, b):
-                continue
-            if _produced(net, t, b) is None:
-                continue
-            matches.append(b)
-        matches.sort(key=_binding_sort_key)
-        result.extend((t, b) for b in matches)
-    return result
-
-
-def is_enabled(net: TNet, m: Marking, t: Transition, b: Binding) -> bool:
-    try:
-        consumed = _consumed(t, b)
-    except KeyError:
-        return False
-    if not m.geq(Marking(consumed)):
-        return False
-    if not eval_guard(t.guard, b):
-        return False
-    return _produced(net, t, b) is not None
+        for b, taken, produced in _fireable(net, m, t, pools):
+            yield t, b, m._fired(taken, produced)
 
 
 def fire(net: TNet, m: Marking, t: Transition, b: Binding) -> Marking:
     """The successor marking: m minus bound inputs plus evaluated outputs.
 
-    Purely functional; raises NotEnabled when (t, b) cannot fire at m.
+    Purely functional; raises NotEnabled when (t, b) cannot fire at m:
+    an input variable is unbound, an input token is missing, the guard
+    is false or a produced token breaks its place type.
     """
-    if not is_enabled(net, m, t, b):
+    try:
+        consumed = _consumed(t, b)
+    except KeyError:
+        consumed = None
+    produced = None
+    if (
+        consumed is not None
+        and all(m.tokens(pname).count(tok) >= n for (pname, tok), n in Counter(consumed).items())
+        and eval_guard(t.guard, b)
+    ):
+        produced = _produced(net, t, b)
+    if produced is None:
         raise NotEnabled(f"{t.name} is not enabled under {b}")
-    produced = _produced(net, t, b)
-    assert produced is not None
-    return m.minus(_consumed(t, b)).plus(produced)
+    return m._fired([(pname, m.tokens(pname).index(tok)) for pname, tok in consumed], produced)

@@ -20,7 +20,7 @@ from itertools import permutations
 from typing import Mapping, Optional
 
 from .equiv import PidBijection
-from .net import Marking, TNet, enabled, fire, is_enabled
+from .net import Marking, NotEnabled, TNet, fire, successors
 from .pid import Pid
 from .state import pids_of, state_of
 
@@ -178,14 +178,14 @@ def check_successor_correspondence(
         return out
 
     def one_way(ma: Marking, mb: Marking, hab: PidBijection) -> bool:
-        for t, b in enabled(net, ma):
+        for t, b, succ_a in successors(net, ma):
             b2 = rename(t, b, hab, mb)
             if b2 is None:
                 return False
-            if not is_enabled(net, mb, t, b2):
+            try:
+                succ_b = fire(net, mb, t, b2)
+            except NotEnabled:
                 return False
-            succ_a = fire(net, ma, t, b)
-            succ_b = fire(net, mb, t, b2)
             sets_a = pids_of(state_of(net, succ_a))
             dom_a = sets_a.pids | sets_a.nextpids
             pins = {src: dst for src, dst in hab.forward if src in dom_a}

@@ -36,7 +36,7 @@ __all__ = [
 class Pid:
     """An immutable tuple of integers >= 1. Hashable; orders hierarchically."""
 
-    __slots__ = ("parts", "_hash")
+    __slots__ = ("parts", "_hash", "_str")
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(parts)
@@ -143,7 +143,11 @@ class Pid:
         return self.sort_key() >= other.sort_key()
 
     def __str__(self) -> str:
-        return ".".join(str(a) for a in self.parts) if self.parts else "()"
+        try:
+            return self._str
+        except AttributeError:
+            self._str = ".".join(map(str, self.parts)) if self.parts else "()"
+            return self._str
 
     def __repr__(self) -> str:
         return f"Pid.parse({str(self)!r})"

@@ -152,13 +152,11 @@ def includes(sub: PidTree, sup: PidTree) -> bool:
 def subtrees(t: PidTree) -> list[tuple[Pid, PidTree]]:
     """All (location, subtree) pairs, the tree itself located at ()."""
     out: list[tuple[Pid, PidTree]] = []
-
-    def walk(prefix: Pid, node: PidTree):
-        out.append((prefix, node))
-        for frag, sub in node.children:
-            walk(prefix.cat(frag), sub)
-
-    walk(EMPTY, t)
+    stack = [(EMPTY, t)]
+    while stack:
+        loc, node = stack.pop()
+        out.append((loc, node))
+        stack.extend((loc.cat(frag), sub) for frag, sub in reversed(node.children))
     return out
 
 
@@ -208,14 +206,13 @@ def relpath(pi: Pid, t: PidTree) -> tuple[int, ...]:
 def relpath_map(t: PidTree) -> dict[Pid, tuple[int, ...]]:
     """Relative paths of every non-empty pid in the tree, in one walk."""
     out: dict[Pid, tuple[int, ...]] = {}
-
-    def walk(loc: Pid, path: tuple[int, ...], node: PidTree):
+    stack = [(EMPTY, (), t)]
+    while stack:
+        loc, path, node = stack.pop()
         if loc != EMPTY:
             out[loc] = path
-        for i, (frag, sub) in enumerate(node.children, start=1):
-            walk(loc.cat(frag), path + (i,), sub)
-
-    walk(EMPTY, (), t)
+        kids = [(loc.cat(frag), path + (i,), sub) for i, (frag, sub) in enumerate(node.children, start=1)]
+        stack.extend(reversed(kids))
     return out
 
 

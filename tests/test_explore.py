@@ -1,5 +1,6 @@
 """The exploration engine: quotients, determinism, truncation, reports."""
 
+import gc
 import json
 
 import pytest
@@ -13,6 +14,7 @@ from pidsym import (
     compare_reductions,
     explore,
     load_model,
+    parse_model,
     state_key,
 )
 from pidsym.net import PlaceDecl, enabled, fire
@@ -169,3 +171,40 @@ def test_compare_reductions_skips_oracle_when_infeasible():
     rows = {row["mode"]: row for row in report["modes"]}
     assert "skipped" in rows["oracle"]
     assert rows["stripped"]["states"] > 0
+
+
+# The perfbench chain: each live process spawns one child and hands it
+# the live token, so pids and trees grow one level per step.
+CHAIN_TEXT = """\
+net chain
+place g GEN
+place seed D
+place live P
+init seed { (0) }
+trans start
+  in g { (p, c) }
+  in seed { (0) }
+  out g { (p, c) }
+  out live { (p) }
+end
+trans step
+  in g { (p, c) }
+  in live { (p) }
+  out g { (p, c+1); (p.(c+1), 0) }
+  out live { (p.(c+1)) }
+end
+"""
+
+
+def test_explore_leaves_no_cyclic_garbage():
+    """Every object explore() drops is freed by reference counting alone."""
+    runs = [(load_model("fanout_n", n=3), 100000), (parse_model(CHAIN_TEXT), 50)]
+    gc.collect()
+    gc.disable()
+    try:
+        for net, max_states in runs:
+            for mode in ("none", "expanded", "stripped"):
+                explore(net, ExploreOptions(mode=mode, max_states=max_states))
+                assert gc.collect() == 0, (net.name, mode)
+    finally:
+        gc.enable()

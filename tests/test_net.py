@@ -225,6 +225,43 @@ def test_fire_not_enabled():
         fire(net, net.init, t, {"p": P("1"), "c": 7})
 
 
+def test_fire_false_guard_is_not_enabled():
+    t = Transition(
+        name="t",
+        guard=Cmp("==", Var("x"), Lit(2)),
+        inputs=(("a", ((Var("x"),),)),),
+        outputs=(),
+    )
+    net = TNet("two", (gen_place(), PlaceDecl("a", ("D",))), (t,), std_init({"a": [(1,), (2,)]}))
+    assert fire(net, net.init, t, {"x": 2}).tokens("a") == ((1,),)
+    with pytest.raises(NotEnabled):
+        fire(net, net.init, t, {"x": 1})
+
+
+def test_fire_binding_missing_an_input_variable_is_not_enabled():
+    net = spawner_net()
+    (t, _), = enabled(net, net.init)
+    with pytest.raises(NotEnabled):
+        fire(net, net.init, t, {"p": P("1")})
+
+
+def test_fire_produced_token_breaking_its_place_type_is_not_enabled():
+    t = Transition(
+        name="t",
+        inputs=(("a", ((Var("x"),),)),),
+        outputs=(("b", ((Var("x"),),)),),
+    )
+    net = TNet(
+        "badtype",
+        (gen_place(), PlaceDecl("a", ("D",)), PlaceDecl("b", ("P",))),
+        (t,),
+        std_init({"a": [(5,)]}),
+    )
+    assert enabled(net, net.init) == []
+    with pytest.raises(NotEnabled):
+        fire(net, net.init, t, {"x": 5})
+
+
 def test_fire_without_generator_arc_leaves_generator_alone():
     t = Transition(
         name="shift",
@@ -289,6 +326,8 @@ def test_guard_type_error_at_evaluation():
     net = TNet("oops", (gen_place(), PlaceDecl("a", ("D",))), (t,), std_init({"a": [(5,)]}))
     with pytest.raises(GuardTypeError):
         enabled(net, net.init)
+    with pytest.raises(GuardTypeError):
+        fire(net, net.init, t, {"p": 5})
 
 
 def test_guard_conjunction_and_data_comparison():
